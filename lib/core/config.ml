@@ -77,16 +77,9 @@ type t = {
          retransmission gaps grow past a minute and dominate simulated
          convergence time *)
   jobs : int;
-      (* worker domains for the parallel batch engine; 1 = the
-         sequential event loop *)
-  verify_batch : bool;
-      (* pipelined batch signature verification: receivers' RSA checks
-         are fanned across the domain pool as the messages are
-         dispatched, so crypto latency overlaps the next batch's
-         fixpoint.  Only effective with a pool (jobs > 1 or
-         shards > 1) and RSA auth; off forces the scalar per-message
-         verify in the receive path (bench ablation; fixpoint and
-         provenance are byte-identical either way) *)
+      (* worker domains: 1 = the sequential event loop; N > 1 runs the
+         window drain, whose per-timestamp per-node work groups fan out
+         over the pool (with one shard) *)
   flap_rate : float;
       (* link-flap rate for churn runs: mean flaps per second per
          directed link of the Poisson flap process (0 = no flaps).
@@ -129,7 +122,6 @@ let default =
     ack_timeout = 0.25;
     max_backoff = 2.0;
     jobs = 1;
-    verify_batch = true;
     flap_rate = 0.0;
     churn = 0.0;
     shards = 1;
@@ -236,8 +228,6 @@ let with_jobs (c : t) (jobs : int) : t =
   if jobs < 1 then invalid_arg "Config.with_jobs: need at least 1 job";
   { c with jobs }
 
-let with_verify_batch (c : t) (verify_batch : bool) : t = { c with verify_batch }
-
 let with_flap_rate (c : t) (flap_rate : float) : t =
   if flap_rate < 0.0 then invalid_arg "Config.with_flap_rate: negative rate";
   { c with flap_rate }
@@ -302,7 +292,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
             ack_timeout = cfg.ack_timeout;
             max_backoff = cfg.max_backoff;
             jobs = cfg.jobs;
-            verify_batch = cfg.verify_batch;
             flap_rate = cfg.flap_rate;
             churn = cfg.churn;
             shards = cfg.shards;
@@ -357,8 +346,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
       int_arg "--jobs" v (fun n ->
           try go (with_jobs cfg n) leftover rest
           with Invalid_argument e -> Error e)
-    | "--verify-batch" :: rest -> go (with_verify_batch cfg true) leftover rest
-    | "--no-verify-batch" :: rest -> go (with_verify_batch cfg false) leftover rest
     | "--flap-rate" :: v :: rest ->
       float_arg "--flap-rate" v (fun r ->
           try go (with_flap_rate cfg r) leftover rest

@@ -46,13 +46,16 @@ type node = {
       (* time of the armed wake event, or -1.0 when none is pending *)
 }
 
-(* One unit of node-level work inside a timestamp batch: a delivered
-   data or retract message accepted for processing, a base-fact
-   installation, or a local base-fact retraction. *)
+(* One unit of node-level work: a delivered data or retract message
+   accepted for processing, a base-fact installation, or the loss of
+   local base facts (a retraction, or soft-state expiry).  Every
+   handler runs as a group of these through [node_compute] and
+   [commit_handler]: a one-item group on the sequential path, a
+   timestamp's per-node coalesced group under the window drain. *)
 type work_item =
   | W_msg of Net.Wire.message
   | W_fact of Tuple.t
-  | W_retract of Tuple.t
+  | W_retract of Tuple.t list
 
 (* A fully prepared outgoing message, minus its channel sequence
    number.  Signing happens at preparation ([Wire.signed_bytes]
@@ -70,26 +73,22 @@ type outgoing = {
 }
 
 (* Per-handler execution context: cost-model charges and prepared
-   sends accumulated while a node's handler runs.  One per handler
-   invocation (and per worker task in batch mode), so handlers on
-   different domains never share it. *)
+   sends accumulated while a node's handler runs.  One per work group,
+   so handlers on different domains never share it. *)
 type exec_ctx = {
   mutable xc_charge : float;
   mutable xc_out : outgoing list; (* reversed *)
 }
 
-(* One committed signed message whose verification is scheduled ahead
-   of delivery (pipelined batch verification, [Config.verify_batch]):
-   enough to re-encode the canonical signed bytes at flush time.  The
-   receiver finds the precomputed verdict keyed by the message's
-   channel identity. *)
-type pending_verify = {
-  pv_src : string;
-  pv_dst : string;
-  pv_seq : int;
-  pv_retract : bool;
-  pv_tuple : Tuple.t;
-  pv_auth : Net.Wire.auth;
+(* A work group computed but not yet committed: what [commit_handler]
+   needs to charge the node and release its messages. *)
+type group_result = {
+  g_node : node;
+  g_ctx : exec_ctx;
+  g_compute : float; (* measured CPU seconds *)
+  g_msgs : int; (* incoming messages in the group *)
+  g_bytes : int; (* their wire bytes *)
+  g_trace_parent : (int * int) option; (* first message's trace context *)
 }
 
 (* One cross-shard schedule buffered during a conservative window.
@@ -107,10 +106,11 @@ type outbox_entry = {
 }
 
 (* One shard of the conservative parallel event engine: its own
-   priority queue and clock, plus the per-shard batching state the
-   window drain uses (the [jobs > 1] batch engine's coalescing, local
-   to this shard's worker).  With [Config.shards = 1] there is exactly
-   one shard and the engine degenerates to the classic loops. *)
+   priority queue and clock, plus the batching state the window drain
+   uses to coalesce each timestamp's work into per-node groups.  With
+   [Config.shards = 1] there is exactly one shard: the sequential loop
+   drains it one event at a time, [--jobs N] as one unbounded
+   window. *)
 type shard = {
   sh_id : int;
   sh_sim : Net.Event_sim.t;
@@ -121,10 +121,6 @@ type shard = {
   mutable sh_inbox : (node * work_item) list; (* reversed arrival order *)
   mutable sh_outbox : outbox_entry list; (* reversed production order *)
   mutable sh_order : int; (* monotone outbox tiebreak counter *)
-  mutable sh_verify : pending_verify list;
-      (* signed messages committed since the last verify flush
-         (reversed); flushed into async pool slabs at batch/window
-         boundaries so their crypto overlaps the next fixpoint *)
 }
 
 type t = {
@@ -157,18 +153,8 @@ type t = {
          directly *)
   log_mu : Mutex.t; (* guards [derivation_log] appends *)
   pool : Par.Pool.t option;
-      (* worker domains when [cfg.jobs > 1] or the engine is sharded *)
-  verify_pipelined : bool;
-      (* dispatch-time batch verification is on: pool present, RSA
-         auth, signatures verified, and [cfg.verify_batch] *)
-  vq_mu : Mutex.t; (* guards [vq_futures] *)
-  vq_futures :
-    ( string * string * int * bool,
-      Sendlog.Auth.verdict array Par.Pool.future * int )
-    Hashtbl.t;
-      (* precomputed verdict per in-flight signed message, keyed
-         (src, dst, seq, is_retract): the slab future and the
-         message's slot within it *)
+      (* worker domains when [cfg.jobs > 1] or the engine is sharded;
+         [None] selects the sequential one-event loop *)
   obs_events : Obs.Events.log; (* bounded structured event log *)
   mutable tracer : Obs.Trace.t option; (* span tree, when tracing is on *)
   h_handler : Obs.Metrics.histogram; (* modeled per-handler duration *)
@@ -220,8 +206,8 @@ let shard_of (t : t) (addr : string) : int =
   else Option.value (Hashtbl.find_opt t.shard_ids addr) ~default:0
 
 (* The shard whose batching state applies to the calling context: the
-   one being drained on this domain, or shard 0 (the only shard, and
-   the one the [jobs > 1] batch engine uses) outside any drain. *)
+   one being drained on this domain, or shard 0 (the only shard of an
+   unsharded engine) outside any drain. *)
 let shard_ctx (t : t) : shard =
   let i = Domain.DLS.get cur_shard_key in
   if i >= 0 && i < Array.length t.shards then t.shards.(i) else t.shards.(0)
@@ -241,46 +227,16 @@ let now (t : t) : float =
         0.0 t.shards
   end
 
-(* Schedule [action] on the shard owning [addr], [delay] simulated
-   seconds from the caller's current virtual time.  Same-shard (and
-   unsharded) schedules go straight onto the queue; cross-shard
-   schedules from inside a window buffer in the producing shard's
-   outbox until the next barrier (conservative synchronization: the
-   target shard may already have drained past the caller's clock, but
-   never past [caller now + lookahead], and every cross-shard delay is
-   at least the lookahead); cross-shard schedules from the
-   orchestrator (installs, evictions) go on the target queue directly,
-   clamped forward to its clock. *)
-let sched_to (t : t) (addr : string) ~(delay : float) (action : unit -> unit) : unit =
-  if delay < 0.0 then invalid_arg "Runtime.sched_to: negative delay";
-  if Array.length t.shards = 1 then
-    Net.Event_sim.schedule t.shards.(0).sh_sim ~delay action
-  else begin
-    let target = shard_of t addr in
-    let cur = Domain.DLS.get cur_shard_key in
-    if cur = target then Net.Event_sim.schedule t.shards.(target).sh_sim ~delay action
-    else if cur < 0 then begin
-      let tsim = t.shards.(target).sh_sim in
-      Net.Event_sim.schedule_at tsim
-        ~time:(Float.max (Net.Event_sim.now tsim) (now t +. delay))
-        action
-    end
-    else begin
-      let src = t.shards.(cur) in
-      src.sh_order <- src.sh_order + 1;
-      src.sh_outbox <-
-        { ox_time = Net.Event_sim.now src.sh_sim +. delay;
-          ox_src = cur;
-          ox_order = src.sh_order;
-          ox_target = target;
-          ox_action = action }
-        :: src.sh_outbox
-    end
-  end
-
-(* Absolute-time variant, for events whose deadline was computed
-   against the caller's own clock (retransmission parks, flap
-   schedules, busy-queue waits). *)
+(* Schedule [action] at virtual [time] on the shard owning [addr].
+   Same-shard (and unsharded) schedules go straight onto the queue;
+   cross-shard schedules from inside a window buffer in the producing
+   shard's outbox until the next barrier (conservative
+   synchronization: the target shard may already have drained past the
+   caller's clock, but never past [caller now + lookahead], and every
+   cross-shard delay is at least the lookahead); cross-shard schedules
+   from the orchestrator (installs, evictions) go on the target queue
+   directly, clamped forward to its clock.  Relative delays are
+   [~time:(now t +. delay)]. *)
 let sched_at_to (t : t) (addr : string) ~(time : float) (action : unit -> unit) : unit
     =
   if Array.length t.shards = 1 then
@@ -396,8 +352,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   ignore (Obs.Metrics.histogram reg "crypto.verify_seconds");
   ignore (Obs.Metrics.counter reg "crypto.sign_cache_hits");
   ignore (Obs.Metrics.counter reg "crypto.sign_cache_misses");
-  ignore (Obs.Metrics.counter reg "crypto.verify_batches");
-  ignore (Obs.Metrics.counter reg "crypto.verify_batch_size");
   ignore (Obs.Metrics.counter reg "traceback.partial_results");
   ignore (Obs.Metrics.counter reg "forensics.records_written");
   ignore (Obs.Metrics.counter reg "forensics.segments_compacted");
@@ -470,8 +424,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           sh_batching = false;
           sh_inbox = [];
           sh_outbox = [];
-          sh_order = 0;
-          sh_verify = [] })
+          sh_order = 0 })
   in
   (* The sharded engine needs worker domains even when [jobs = 1];
      shards beyond the hardware parallelism just queue. *)
@@ -500,12 +453,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
         (if cfg.jobs > 1 || shard_count > 1 then
            Some (Par.Pool.create ~jobs:pool_jobs)
          else None);
-      verify_pipelined =
-        (cfg.jobs > 1 || shard_count > 1)
-        && cfg.Config.verify_batch && cfg.Config.verify_signatures
-        && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
-      vq_mu = Mutex.create ();
-      vq_futures = Hashtbl.create 256;
       obs_events = Obs.Events.create ~capacity:8192 ();
       tracer = None;
       h_handler = Obs.Metrics.histogram reg "runtime.handler_seconds";
@@ -705,7 +652,7 @@ let transmit (t : t) ~(delay : float) (receiver : node) (msg : Net.Wire.message)
   | _ :: extras -> List.iter (fun _ -> Net.Stats.record_dup t.stats) extras);
   List.iter
     (fun extra ->
-      sched_to t receiver.n_addr ~delay:(delay +. extra) (fun () ->
+      sched_at_to t receiver.n_addr ~time:(now t +. (delay +. extra)) (fun () ->
           !deliver t receiver msg))
     deliveries
 
@@ -769,7 +716,7 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
   (* The timer lives on the sender's shard: retransmission is the
      sender's CPU re-offering the message, and [latency >= lookahead]
      keeps the resulting cross-shard delivery safe. *)
-  sched_to t msg.Net.Wire.msg_src ~delay:(delay +. timeout) on_timer
+  sched_at_to t msg.Net.Wire.msg_src ~time:(now t +. (delay +. timeout)) on_timer
 
 (* Entry point for a freshly produced data message leaving its node.
    The fault-verdict identity is the message's content, prefixed per
@@ -928,12 +875,11 @@ let external_support (t : t) (n : node) (tuple : Tuple.t) : Value.t option list 
 
 (* Forget every cached send of [tuple] to [dest] (any provenance
    variant), so a later re-derivation reaches the peer again after a
-   retraction notice was sent. *)
-(* Forget every cached send of [tuple] to [dest]; true when at least
-   one variant had actually been sent.  A retraction notice is only
-   worth a message when the peer got the assertion in the first place
-   (a support record whose emit was deduped, or a head retracted twice
-   with no re-send in between, has nothing to withdraw). *)
+   retraction notice was sent; true when at least one variant had
+   actually been sent.  A retraction notice is only worth a message
+   when the peer got the assertion in the first place (a support
+   record whose emit was deduped, or a head retracted twice with no
+   re-send in between, has nothing to withdraw). *)
 let clear_sent (n : node) (dest : string) (tuple : Tuple.t) : bool =
   let group = dest ^ "|" ^ Tuple.interned_identity tuple in
   let was = Hashtbl.mem n.n_sent_cache group in
@@ -1127,33 +1073,52 @@ let process (t : t) (xc : exec_ctx) (n : node) (pending : Eval.frontier_item lis
   List.iter (send t xc n) emits;
   drain_displaced t xc n displaced
 
-(* Verdict for an incoming authenticated message: consume the
-   pipelined verdict if one was precomputed at dispatch (awaiting a
-   slab that no worker has started yet *steals* it and runs it inline,
-   so the fallback degenerates to exactly the scalar kernel), else
-   verify inline straight out of the scratch-encoded signed bytes.
-   Either way the per-message accounting stays with the caller. *)
-let verdict_for (t : t) (msg : Net.Wire.message) ~(retract : bool)
-    (bytes : Net.Arena.slice Lazy.t) : Sendlog.Auth.verdict =
-  let precomputed =
-    if not t.verify_pipelined then None
-    else
-      locked t.vq_mu (fun () ->
-          let key =
-            (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq,
-             retract)
-          in
-          match Hashtbl.find_opt t.vq_futures key with
-          | Some entry ->
-            Hashtbl.remove t.vq_futures key;
-            Some entry
-          | None -> None)
-  in
-  match precomputed with
-  | Some (fut, slot) -> (Par.Pool.await fut).(slot)
-  | None ->
-    Sendlog.Auth.verify_slice ~fastpath:t.cfg.use_crypto_fastpath t.cfg.auth
-      t.directory msg.Net.Wire.msg_auth (Lazy.force bytes)
+(* Authenticate an incoming data or retract message and account for
+   the verdict, returning the asserting principal.  Signatures are
+   checked inline, straight out of the scratch-encoded signed bytes
+   (retractions sign a distinct domain).  Raises [Exit] on a forged
+   message; the verification work is still charged to the node. *)
+let authenticate (t : t) (receiver : node) (msg : Net.Wire.message) : Value.t option =
+  if not t.cfg.verify_signatures then
+    match msg.Net.Wire.msg_auth with
+    | Net.Wire.A_none -> None
+    | Net.Wire.A_principal p
+    | Net.Wire.A_hmac { principal = p; _ }
+    | Net.Wire.A_signature { principal = p; _ } -> Some (Value.V_str p)
+  else begin
+    let signed_slice =
+      match msg.Net.Wire.msg_kind with
+      | Net.Wire.K_retract -> Net.Wire.retract_signed_slice
+      | Net.Wire.K_data | Net.Wire.K_ack -> Net.Wire.signed_slice
+    in
+    let bytes =
+      signed_slice (Net.Arena.scratch ()) ~src:msg.Net.Wire.msg_src
+        ~dst:msg.Net.Wire.msg_dst msg.Net.Wire.msg_tuple
+    in
+    match
+      Sendlog.Auth.verify_slice ~fastpath:t.cfg.use_crypto_fastpath t.cfg.auth
+        t.directory msg.Net.Wire.msg_auth bytes
+    with
+    | Sendlog.Auth.Verified p ->
+      (match t.cfg.auth with
+      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
+        Net.Stats.record_verification t.stats ~ok:true;
+        Obs.Events.emit t.obs_events ~at:(now t)
+          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
+      | _ -> ());
+      Some (Value.V_str p)
+    | Sendlog.Auth.Unsigned -> None
+    | Sendlog.Auth.Forged _ ->
+      Net.Stats.record_verification t.stats ~ok:false;
+      Net.Stats.record_forged t.stats;
+      let at = now t in
+      Obs.Events.emit t.obs_events ~at
+        (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
+      Obs.Events.emit t.obs_events ~at
+        (Obs.Events.E_forged_dropped
+           { node = receiver.n_addr; src = msg.Net.Wire.msg_src });
+      raise Exit
+  end
 
 (* Receiver side of a retraction notice: verify it (same outcomes as a
    data message), withdraw the sender from the tuple's external
@@ -1164,36 +1129,9 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
     (msg : Net.Wire.message) : unit =
   let tuple = msg.Net.Wire.msg_tuple in
   let src = msg.Net.Wire.msg_src in
-  let bytes =
-    lazy
-      (Net.Wire.retract_signed_slice (Net.Arena.scratch ()) ~src
-         ~dst:msg.Net.Wire.msg_dst tuple)
-  in
-  let ok =
-    (not t.cfg.verify_signatures)
-    ||
-    match verdict_for t msg ~retract:true bytes with
-    | Sendlog.Auth.Verified _ ->
-      (match t.cfg.auth with
-      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-        Net.Stats.record_verification t.stats ~ok:true;
-        Obs.Events.emit t.obs_events ~at:(now t)
-          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
-      | _ -> ());
-      true
-    | Sendlog.Auth.Unsigned -> true
-    | Sendlog.Auth.Forged _ ->
-      Net.Stats.record_verification t.stats ~ok:false;
-      Net.Stats.record_forged t.stats;
-      let at = now t in
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_forged_dropped
-           { node = receiver.n_addr; src });
-      false
-  in
-  if ok then begin
+  match authenticate t receiver msg with
+  | exception Exit -> ()
+  | _ ->
     (match Tuple.Table.find_opt receiver.n_recv_from tuple with
     | Some srcs ->
       srcs := List.filter (fun s -> not (String.equal s src)) !srcs;
@@ -1202,20 +1140,19 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
     if prov_enabled t then
       Prov_store.remove_received receiver.n_prov tuple ~from:src;
     if Db.mem receiver.n_db tuple then retract_local t xc receiver ~lost:[ tuple ]
-  end
 
 (* Commit a finished handler: from its measured compute time and
    accumulated charges derive the modeled duration, advance the node's
    busy horizon, and release the prepared messages in order — each is
    assigned its channel seq here, so numbering matches the sequential
    schedule regardless of which domain prepared it. *)
-let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : int)
-    ~(compute : float) ?(trace_parent : (int * int) option) (xc : exec_ctx) : unit =
+let commit_handler (t : t) (g : group_result) : unit =
+  let n = g.g_node and xc = g.g_ctx and compute = g.g_compute in
   let cm = t.cfg.cost_model in
   let duration =
     compute +. xc.xc_charge
-    +. (float_of_int incoming_msgs *. cm.per_message_seconds)
-    +. (float_of_int incoming_bytes /. cm.throughput_bytes_per_sec)
+    +. (float_of_int g.g_msgs *. cm.per_message_seconds)
+    +. (float_of_int g.g_bytes /. cm.throughput_bytes_per_sec)
   in
   let now = now t in
   n.n_free_at <- max n.n_free_at now +. duration;
@@ -1238,7 +1175,7 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
          carried a trace context from this trace (cross-node causal
          link); otherwise the domain's enclosing span (the "run" root). *)
       let parent =
-        match trace_parent with
+        match g.g_trace_parent with
         | Some (tid, sp) when tid = Obs.Trace.id tr -> Some sp
         | _ -> None
       in
@@ -1297,86 +1234,17 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
       | None -> ());
       match o.o_receiver with
       | None -> () (* destination outside the simulation: counted, dropped *)
-      | Some r ->
-        (* Pipelined verification: park the signed message for the next
-           verify flush, so a pool slab computes its verdict while this
-           shard is still busy with the following fixpoints.  The
-           verdict is deterministic in the message, so precomputing it
-           commutes with everything between here and acceptance. *)
-        (match o.o_auth with
-        | Net.Wire.A_signature _ when t.verify_pipelined ->
-          let sh = shard_ctx t in
-          sh.sh_verify <-
-            { pv_src = n.n_addr;
-              pv_dst = o.o_dest;
-              pv_seq = msg.Net.Wire.msg_seq;
-              pv_retract = (o.o_kind = Net.Wire.K_retract);
-              pv_tuple = o.o_tuple;
-              pv_auth = o.o_auth }
-            :: sh.sh_verify
-        | _ -> ());
-        dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
+      | Some r -> dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
     outgoing
 
-(* Execute [work] as node [n]'s CPU: measure its real duration, then
-   commit (the messages the work produced depart only when the node
-   finishes processing, as they would on a real host). *)
-let with_processing (t : t) (n : node) ~(incoming_bytes : int)
-    ?(trace_parent : (int * int) option) (work : exec_ctx -> unit) : unit =
-  let xc = { xc_charge = 0.0; xc_out = [] } in
-  let t0 = Unix.gettimeofday () in
-  work xc;
-  let compute = Unix.gettimeofday () -. t0 in
-  commit_handler t n
-    ~incoming_msgs:(if incoming_bytes > 0 then 1 else 0)
-    ~incoming_bytes ~compute ?trace_parent xc
-
-(* Handle a delivered message: verify, record provenance, insert, and
-   continue the fixpoint. *)
 (* Authenticate an incoming data message and record its shipped
    provenance, returning the frontier item for the receiver's local
-   fixpoint.  Raises [Exit] on a forged message (the verification work
-   is still charged to the node).  Touches only per-node or
-   mutex-guarded state, so the batch engine calls it from worker
-   domains. *)
+   fixpoint.  Raises [Exit] on a forged message.  Touches only
+   per-node or mutex-guarded state, so it runs on worker domains. *)
 let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
     Eval.frontier_item =
   let tuple = msg.Net.Wire.msg_tuple in
-  let bytes =
-    lazy
-      (Net.Wire.signed_slice (Net.Arena.scratch ()) ~src:msg.Net.Wire.msg_src
-         ~dst:msg.Net.Wire.msg_dst tuple)
-  in
-  let asserter =
-    if not t.cfg.verify_signatures then
-      match msg.Net.Wire.msg_auth with
-      | Net.Wire.A_none -> None
-      | Net.Wire.A_principal p
-      | Net.Wire.A_hmac { principal = p; _ }
-      | Net.Wire.A_signature { principal = p; _ } -> Some (Value.V_str p)
-    else begin
-      match verdict_for t msg ~retract:false bytes with
-      | Sendlog.Auth.Verified p ->
-        (match t.cfg.auth with
-        | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-          Net.Stats.record_verification t.stats ~ok:true;
-          Obs.Events.emit t.obs_events ~at:(now t)
-            (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
-        | _ -> ());
-        Some (Value.V_str p)
-      | Sendlog.Auth.Unsigned -> None
-      | Sendlog.Auth.Forged _ ->
-        Net.Stats.record_verification t.stats ~ok:false;
-        Net.Stats.record_forged t.stats;
-        let at = now t in
-        Obs.Events.emit t.obs_events ~at
-          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
-        Obs.Events.emit t.obs_events ~at
-          (Obs.Events.E_forged_dropped
-             { node = receiver.n_addr; src = msg.Net.Wire.msg_src });
-        raise Exit
-    end
-  in
+  let asserter = authenticate t receiver msg in
   (* The sender now stands behind this tuple: external support that
      keeps it alive through retraction passes until the sender
      retracts it (or soft-state expiry withdraws it). *)
@@ -1398,6 +1266,73 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
     Prov_store.record_received receiver.n_prov tuple ~from:msg.Net.Wire.msg_src ~expr
   end;
   { Eval.f_tuple = tuple; f_asserter = asserter }
+
+(* Run one node's work group as that node's CPU: authenticate every
+   queued message, then run a single combined semi-naive fixpoint over
+   the whole frontier, measuring the real compute time.  Only per-node
+   and mutex-guarded state is touched and nothing is committed here,
+   so the window drain runs groups on pool workers. *)
+let node_compute (t : t) ((n, items) : node * work_item list) : group_result =
+  let t0 = Unix.gettimeofday () in
+  let xc = { xc_charge = 0.0; xc_out = [] } in
+  let nmsgs = ref 0 in
+  let bytes = ref 0 in
+  (* Causal parent for the group's combined handle span: the first
+     queued message's trace context (the group coalesces several
+     triggers into one handler, so one representative parent is the
+     best a single span can record). *)
+  let tparent = ref None in
+  (* Insertions coalesce into one combined frontier, but a retraction
+     is a barrier: the frontier accumulated so far must reach the
+     database before the deletion pass reads it, and later insertions
+     must see the post-deletion state. *)
+  let frontier = ref [] in
+  let flush () =
+    if !frontier <> [] then begin
+      process t xc n (List.rev !frontier);
+      frontier := []
+    end
+  in
+  let count_msg msg =
+    incr nmsgs;
+    bytes := !bytes + Net.Wire.size msg;
+    if !tparent = None then tparent := msg.Net.Wire.msg_trace
+  in
+  List.iter
+    (fun item ->
+      match item with
+      | W_fact tuple ->
+        if prov_enabled t && sampled t tuple then
+          Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
+        Tuple.Table.replace n.n_base tuple ();
+        frontier := { Eval.f_tuple = tuple; Eval.f_asserter = None } :: !frontier
+      | W_msg msg when msg.Net.Wire.msg_kind = Net.Wire.K_retract ->
+        count_msg msg;
+        flush ();
+        handle_retract t xc n msg
+      | W_msg msg ->
+        count_msg msg;
+        (try frontier := accept_message t n msg :: !frontier with Exit -> ())
+      | W_retract tuples ->
+        flush ();
+        List.iter (Tuple.Table.remove n.n_base) tuples;
+        retract_local t xc n ~lost:tuples)
+    items;
+  flush ();
+  { g_node = n;
+    g_ctx = xc;
+    g_compute = Unix.gettimeofday () -. t0;
+    g_msgs = !nmsgs;
+    g_bytes = !bytes;
+    g_trace_parent = !tparent }
+
+(* Hand one unit of work to node [n]: inside a window drain it joins
+   the timestamp's per-node group; otherwise it runs and commits at
+   once as a one-item group. *)
+let submit_work (t : t) (n : node) (item : work_item) : unit =
+  let sh = shard_ctx t in
+  if sh.sh_batching then sh.sh_inbox <- (n, item) :: sh.sh_inbox
+  else commit_handler t (node_compute t (n, [ item ]))
 
 let rec handle_message (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
   let now = now t in
@@ -1442,10 +1377,10 @@ and arm_wake (t : t) (receiver : node) : unit =
   end
 
 (* The wake event: if the node is busy again, re-arm; otherwise drain
-   the receive queue in arrival order.  Under the batch engines the
+   the receive queue in arrival order.  Inside a window drain the
    whole queue joins the current timestamp's combined computation; the
-   one-event engine processes the head (which advances [n_free_at])
-   and re-arms for the rest. *)
+   one-event loop processes the head (which advances [n_free_at]) and
+   re-arms for the rest. *)
 and wake (t : t) (receiver : node) : unit =
   receiver.n_wake_at <- -1.0;
   if receiver.n_free_at > now t +. 1e-9 then arm_wake t receiver
@@ -1464,9 +1399,9 @@ and wake (t : t) (receiver : node) : unit =
   end
 
 (* Accept a data or retract message on an idle CPU: acknowledge and
-   dedup (reliable mode), then hand it to the batch inbox or process
-   it inline.  [now] is re-read here — a parked message is charged the
-   wake time, not its arrival time. *)
+   dedup (reliable mode), then submit it as work for the receiver.
+   [now] is re-read here — a parked message is charged the wake time,
+   not its arrival time. *)
 and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
   let now = now t in
   if Net.Fault.is_down t.cfg.Config.fault ~now receiver.n_addr then
@@ -1500,22 +1435,7 @@ and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
       Obs.Events.emit t.obs_events ~at:now
         (Obs.Events.E_msg_received
            { node = receiver.n_addr; src = msg.Net.Wire.msg_src; bytes = Net.Wire.size msg });
-      let sh = shard_ctx t in
-      if sh.sh_batching then
-        (* Batch engine: defer verification + fixpoint to the
-           grouped per-node computation for this timestamp. *)
-        sh.sh_inbox <- (receiver, W_msg msg) :: sh.sh_inbox
-      else
-        with_processing t receiver ~incoming_bytes:(Net.Wire.size msg)
-          ?trace_parent:msg.Net.Wire.msg_trace (fun xc ->
-            match msg.Net.Wire.msg_kind with
-            | Net.Wire.K_retract -> handle_retract t xc receiver msg
-            | _ ->
-              (* [Exit] aborts processing of a forged message; the
-                 work done so far (verification) is still charged to
-                 the node. *)
-              (try process t xc receiver [ accept_message t receiver msg ]
-               with Exit -> ()))
+      submit_work t receiver (W_msg msg)
     end
   end
 
@@ -1552,15 +1472,7 @@ let () = deliver := handle_message
 (* Install a base fact at a node (scheduled immediately). *)
 let install_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () ->
-      let sh = shard_ctx t in
-      if sh.sh_batching then sh.sh_inbox <- (n, W_fact tuple) :: sh.sh_inbox
-      else
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            if prov_enabled t && sampled t tuple then
-              Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
-            Tuple.Table.replace n.n_base tuple ();
-            process t xc n [ { Eval.f_tuple = tuple; f_asserter = None } ]))
+  sched_at_to t at ~time:(now t) (fun () -> submit_work t n (W_fact tuple))
 
 (* Install program facts at the location given by their location
    specifier (or first address argument). *)
@@ -1588,13 +1500,7 @@ let install_links ?(with_cost = true) (t : t) : unit =
    deletion pass over everything derived from it. *)
 let retract_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () ->
-      let sh = shard_ctx t in
-      if sh.sh_batching then sh.sh_inbox <- (n, W_retract tuple) :: sh.sh_inbox
-      else
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            Tuple.Table.remove n.n_base tuple;
-            retract_local t xc n ~lost:[ tuple ]))
+  sched_at_to t at ~time:(now t) (fun () -> submit_work t n (W_retract [ tuple ]))
 
 (* --- link churn -------------------------------------------------------- *)
 
@@ -1662,14 +1568,14 @@ let schedule_flaps (t : t) ~(rate : float) ?(mean_downtime = 0.5)
     flaps;
   flaps
 
-(* --- batch engine (jobs > 1) ------------------------------------------ *)
+(* --- window drain (jobs > 1 or shards > 1) ------------------------------ *)
 
 (* Drain a shard's deferred inbox into per-node work lists, in
    first-arrival order both across nodes and within each node's list.
    That order is the canonical commit order: it makes seq assignment
    (and hence the whole schedule) independent of which domain computed
    what. *)
-let group_inbox (sh : shard) : (node * work_item list) list =
+let group_inbox (sh : shard) : (node * work_item list) array =
   let items = List.rev sh.sh_inbox in
   sh.sh_inbox <- [];
   let order = ref [] in
@@ -1682,156 +1588,8 @@ let group_inbox (sh : shard) : (node * work_item list) list =
         Hashtbl.add tbl n.n_addr (ref [ item ]);
         order := n :: !order)
     items;
-  List.rev_map (fun (n : node) -> (n, List.rev !(Hashtbl.find tbl n.n_addr))) !order
-
-(* Evaluate one node's share of a timestamp batch: authenticate every
-   queued message, then run a single combined semi-naive fixpoint over
-   the whole frontier.  Runs on a pool worker; only per-node and
-   mutex-guarded state is touched, and nothing is committed here. *)
-let node_compute (t : t) ((n, items) : node * work_item list) :
-    node * exec_ctx * float * int * int * (int * int) option =
-  let t0 = Unix.gettimeofday () in
-  let xc = { xc_charge = 0.0; xc_out = [] } in
-  let nmsgs = ref 0 in
-  let bytes = ref 0 in
-  (* Causal parent for the group's combined handle span: the first
-     queued message's trace context (the group coalesces several
-     triggers into one handler, so one representative parent is the
-     best a single span can record). *)
-  let tparent = ref None in
-  (* Insertions coalesce into one combined frontier, but a retraction
-     is a barrier: the frontier accumulated so far must reach the
-     database before the deletion pass reads it, and later insertions
-     must see the post-deletion state. *)
-  let frontier = ref [] in
-  let flush () =
-    if !frontier <> [] then begin
-      process t xc n (List.rev !frontier);
-      frontier := []
-    end
-  in
-  List.iter
-    (fun item ->
-      match item with
-      | W_fact tuple ->
-        if prov_enabled t && sampled t tuple then
-          Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
-        Tuple.Table.replace n.n_base tuple ();
-        frontier := { Eval.f_tuple = tuple; Eval.f_asserter = None } :: !frontier
-      | W_msg msg when msg.Net.Wire.msg_kind = Net.Wire.K_retract ->
-        incr nmsgs;
-        bytes := !bytes + Net.Wire.size msg;
-        if !tparent = None then tparent := msg.Net.Wire.msg_trace;
-        flush ();
-        handle_retract t xc n msg
-      | W_msg msg ->
-        incr nmsgs;
-        bytes := !bytes + Net.Wire.size msg;
-        if !tparent = None then tparent := msg.Net.Wire.msg_trace;
-        (try frontier := accept_message t n msg :: !frontier with Exit -> ())
-      | W_retract tuple ->
-        flush ();
-        Tuple.Table.remove n.n_base tuple;
-        retract_local t xc n ~lost:[ tuple ])
-    items;
-  flush ();
-  let compute = Unix.gettimeofday () -. t0 in
-  (n, xc, compute, !nmsgs, !bytes, !tparent)
-
-(* Slab width for fanned-out verification: small enough that a
-   frontier fills several slabs (overlap), large enough that slab
-   bookkeeping is noise next to an RSA exponentiation. *)
-let verify_chunk = 16
-
-(* Launch the verification of every message committed since the last
-   flush as asynchronous slabs on the pool: batch k's crypto runs on
-   worker domains while the orchestrator executes batch k+1's events
-   and fixpoints, and the verdicts are consumed by [verdict_for] at
-   acceptance.  The signed bytes are re-encoded into one exact-sized
-   per-flush arena (no growth, so every slice stays valid) whose
-   buffer the slab closures retain until awaited. *)
-let flush_verify (t : t) (sh : shard) : unit =
-  match (t.pool, sh.sh_verify) with
-  | None, _ | _, [] -> ()
-  | Some pool, buffered ->
-    sh.sh_verify <- [];
-    let entries = Array.of_list (List.rev buffered) in
-    let bytes_needed =
-      Array.fold_left
-        (fun acc pv ->
-          acc
-          + (if pv.pv_retract then 8 else 0)
-          + 4 + String.length pv.pv_src + 4 + String.length pv.pv_dst
-          + Net.Wire.tuple_wire_size pv.pv_tuple)
-        0 entries
-    in
-    let a = Net.Arena.create ~capacity:(max 1 bytes_needed) () in
-    let items =
-      Array.map
-        (fun pv ->
-          let slice =
-            if pv.pv_retract then
-              Net.Wire.retract_signed_slice a ~src:pv.pv_src ~dst:pv.pv_dst
-                pv.pv_tuple
-            else Net.Wire.signed_slice a ~src:pv.pv_src ~dst:pv.pv_dst pv.pv_tuple
-          in
-          (pv.pv_auth, slice))
-        entries
-    in
-    let futures =
-      Sendlog.Auth.verify_batch_fanout ~fastpath:t.cfg.use_crypto_fastpath
-        ~chunk:verify_chunk pool t.cfg.auth t.directory items
-    in
-    locked t.vq_mu (fun () ->
-        Array.iteri
-          (fun j pv ->
-            Hashtbl.replace t.vq_futures
-              (pv.pv_src, pv.pv_dst, pv.pv_seq, pv.pv_retract)
-              (futures.(j / verify_chunk), j mod verify_chunk))
-          entries)
-
-(* One batch step: pop all events sharing the next timestamp, let them
-   park their dataflow work in the inbox (ACKs, timers and fault
-   verdicts still execute inline — they are cheap and order-
-   sensitive), evaluate the per-node groups on the pool, and commit
-   results in canonical group order. *)
-let run_batched (t : t) (pool : Par.Pool.t) ~(until : float) : int =
-  let sh = t.shards.(0) in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Net.Event_sim.peek_time sh.sh_sim with
-    | None -> continue := false
-    | Some ts when ts > until -> continue := false
-    | Some _ ->
-      let actions = Net.Event_sim.next_batch sh.sh_sim in
-      count := !count + List.length actions;
-      sh.sh_batching <- true;
-      List.iter (fun act -> act ()) actions;
-      sh.sh_batching <- false;
-      let groups = group_inbox sh in
-      if groups <> [] then begin
-        Obs.Metrics.inc t.c_batches;
-        List.iter
-          (fun (_, items) ->
-            let len = List.length items in
-            Obs.Metrics.inc ~by:len t.c_batch_items;
-            Obs.Metrics.set_max t.g_group_max (float_of_int len))
-          groups;
-        let results = Par.Pool.parallel_map pool (node_compute t) (Array.of_list groups) in
-        Array.iter
-          (fun (n, xc, compute, nmsgs, bytes, tparent) ->
-            commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
-              ?trace_parent:tparent xc)
-          results
-      end;
-      (* The commits above dispatched the next frontier; start its
-         verification now so it overlaps that frontier's fixpoint. *)
-      flush_verify t sh
-  done;
-  !count
-
-(* --- sharded engine (Config.shards <> 1) ------------------------------ *)
+  Array.of_list
+    (List.rev_map (fun (n : node) -> (n, List.rev !(Hashtbl.find tbl n.n_addr))) !order)
 
 (* Flush every shard's cross-shard outbox onto the target queues.
    Orchestrator-only (between windows).  Entries are sorted by
@@ -1866,12 +1624,14 @@ let flush_outboxes (t : t) : unit =
     entries
 
 (* Drain one shard through the window ending at [limit] (exclusive, or
-   inclusive for the degenerate zero-lookahead window), coalescing
-   each timestamp's deliveries into combined per-node fixpoints
-   exactly like [run_batched] — but sequentially on the calling worker
-   domain ([Par.Pool] is not reentrant), with cross-shard products
-   parked in the outbox. *)
-let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int =
+   inclusive for a window closed by the horizon or by zero lookahead),
+   one timestamp at a time: pop every event sharing it, let them park
+   their dataflow work in the inbox (ACKs, timers and fault verdicts
+   still execute inline — they are cheap and order-sensitive),
+   evaluate the per-node groups — over the pool when [pool] is given —
+   and commit them in canonical group order. *)
+let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float)
+    ~(inclusive : bool) : int =
   let in_window ts = if inclusive then ts <= limit else ts < limit in
   let count = ref 0 in
   let continue = ref true in
@@ -1886,40 +1646,42 @@ let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int 
       List.iter (fun act -> act ()) actions;
       sh.sh_batching <- false;
       let groups = group_inbox sh in
-      if groups <> [] then begin
+      if groups <> [||] then begin
         Obs.Metrics.inc t.c_batches;
-        List.iter
-          (fun (n, items) ->
+        Array.iter
+          (fun (_, items) ->
             let len = List.length items in
             Obs.Metrics.inc ~by:len t.c_batch_items;
-            Obs.Metrics.set_max t.g_group_max (float_of_int len);
-            let n, xc, compute, nmsgs, bytes, tparent = node_compute t (n, items) in
-            commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
-              ?trace_parent:tparent xc)
-          groups
-      end;
-      (* Workers are shard-pinned for the window, so the slabs mostly
-         run between barriers (idle workers drain them); an awaited
-         slab that has not started is stolen and run inline. *)
-      flush_verify t sh
+            Obs.Metrics.set_max t.g_group_max (float_of_int len))
+          groups;
+        let results =
+          match pool with
+          | Some pool -> Par.Pool.parallel_map pool (node_compute t) groups
+          | None -> Array.map (node_compute t) groups
+        in
+        Array.iter (commit_handler t) results
+      end
   done;
   !count
 
 (* Conservative parallel loop: find the global minimum timestamp, open
-   a window of one lookahead, drain every shard through it on the pool
-   (each worker pinned to its shard via [cur_shard_key]), then
-   exchange the buffered cross-shard events at the barrier.  Safety:
-   every cross-shard interaction is delayed by at least the lookahead
+   a window of one lookahead, drain every shard through it (each
+   pinned to its domain via [cur_shard_key]), then exchange the
+   buffered cross-shard events at the barrier.  Safety: every
+   cross-shard interaction is delayed by at least the lookahead
    (delivery latency, ACK latency, retransmit latency are all >= the
    minimum cross-shard link latency), so nothing produced inside a
    window can land inside it.  Progress: the shard owning the minimum
    executes at least one event per round; with zero lookahead the
    window degenerates to exactly that timestamp, and replies are
    strictly later (handler durations are positive), so rounds always
-   advance. *)
-let run_sharded (t : t) (pool : Par.Pool.t) ~(until : float) : int =
+   advance.  One shard ([--jobs N] alone) has infinite lookahead: a
+   single window drains it on the calling domain with its per-node
+   groups fanned out over the pool.  With K shards the shards fan out
+   instead and each runs its groups in sequence ([Par.Pool] is not
+   reentrant). *)
+let run_windows (t : t) (pool : Par.Pool.t) ~(until : float) : int =
   let k = Array.length t.shards in
-  let indices = Array.init k Fun.id in
   let count = ref 0 in
   let continue = ref true in
   while !continue do
@@ -1942,15 +1704,17 @@ let run_sharded (t : t) (pool : Par.Pool.t) ~(until : float) : int =
         else if t.lookahead > 0.0 then (until, true)
         else (ts, true)
       in
+      let drain i =
+        Domain.DLS.set cur_shard_key i;
+        Fun.protect
+          ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
+          (fun () ->
+            drain_shard t t.shards.(i)
+              ~pool:(if k = 1 then Some pool else None)
+              ~limit ~inclusive)
+      in
       let counts =
-        Par.Pool.parallel_map pool
-          (fun i ->
-            let sh = t.shards.(i) in
-            Domain.DLS.set cur_shard_key i;
-            Fun.protect
-              ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
-              (fun () -> drain_shard t sh ~limit ~inclusive))
-          indices
+        if k = 1 then [| drain 0 |] else Par.Pool.parallel_map pool drain (Array.init k Fun.id)
       in
       count := Array.fold_left ( + ) !count counts
   done;
@@ -1958,6 +1722,14 @@ let run_sharded (t : t) (pool : Par.Pool.t) ~(until : float) : int =
      from a consistent queue. *)
   flush_outboxes t;
   !count
+
+(* Execute queued events up to [until]: the one-event sequential loop
+   when the runtime has no pool ([jobs = 1], one shard), the window
+   drain otherwise. *)
+let drive (t : t) ~(until : float) : int =
+  match t.pool with
+  | None -> Net.Event_sim.run ~until t.shards.(0).sh_sim
+  | Some pool -> run_windows t pool ~until
 
 type run_result = {
   wall_seconds : float; (* real CPU time: the paper's completion time *)
@@ -1968,22 +1740,11 @@ type run_result = {
 (* Run to distributed fixpoint (event-queue quiescence).  Under
    tracing, the whole run is one root span on the virtual clock, so
    its [dur] is the query-completion time and the per-message
-   "handle" spans nest beneath it.  With [Config.jobs > 1] the batch
-   engine executes timestamp groups on the domain pool; with the
-   default [jobs = 1] the classic one-event-at-a-time loop runs. *)
+   "handle" spans nest beneath it. *)
 let run ?(until = Float.infinity) (t : t) : run_result =
   let go () =
     let t0 = Unix.gettimeofday () in
-    let events =
-      if Array.length t.shards > 1 then
-        match t.pool with
-        | Some pool -> run_sharded t pool ~until
-        | None -> assert false (* create always pools a sharded engine *)
-      else
-        match t.pool with
-        | Some pool -> run_batched t pool ~until
-        | None -> Net.Event_sim.run ~until t.shards.(0).sh_sim
-    in
+    let events = drive t ~until in
     let wall = Unix.gettimeofday () -. t0 in
     { wall_seconds = wall; sim_seconds = now t; events }
   in
@@ -2035,12 +1796,7 @@ let advance (t : t) ~(seconds : float) : unit =
   Array.iter
     (fun sh -> Net.Event_sim.schedule_at sh.sh_sim ~time:horizon (fun () -> ()))
     t.shards;
-  (if Array.length t.shards > 1 then
-     ignore (run_sharded t (Option.get t.pool) ~until:horizon)
-   else
-     match t.pool with
-     | Some pool -> ignore (run_batched t pool ~until:horizon)
-     | None -> ignore (Net.Event_sim.run ~until:horizon t.shards.(0).sh_sim));
+  ignore (drive t ~until:horizon);
   let now = now t in
   List.iter
     (fun n ->
@@ -2053,12 +1809,10 @@ let advance (t : t) ~(seconds : float) : unit =
            freshly captured provenance). *)
         List.iter
           (fun tuple ->
-            Tuple.Table.remove n.n_base tuple;
             Tuple.Table.remove n.n_recv_from tuple;
             Prov_store.retire n.n_prov tuple ~now)
           evicted;
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            retract_local t xc n ~lost:evicted)
+        submit_work t n (W_retract evicted)
       end)
     (nodes t)
 

@@ -130,19 +130,22 @@ type run_result = {
 
 val run : ?until:float -> t -> run_result
 (** Run to distributed fixpoint (event-queue quiescence) or until the
-    virtual-time horizon.  With [Config.jobs > 1] the domain-parallel
-    batch engine pops all events sharing the next timestamp, groups
-    deferred dataflow work per destination node, evaluates each
-    node's combined fixpoint on the pool, and commits observable
-    effects (sequence numbers, stats, dispatch) in canonical
-    first-arrival order; with the default [jobs = 1] the classic
-    one-event-at-a-time loop runs. *)
+    virtual-time horizon.  With the default [jobs = 1] and one shard
+    the one-event-at-a-time loop runs.  Otherwise the window drain
+    runs: each shard pops all events sharing its next timestamp,
+    groups deferred dataflow work per destination node, evaluates each
+    node's combined fixpoint, and commits observable effects (sequence
+    numbers, stats, dispatch) in canonical first-arrival order.  With
+    one shard ([jobs > 1]) the groups fan out over the domain pool;
+    with several the shards do, exchanging cross-shard events at
+    conservative lookahead barriers. *)
 
 val shutdown : t -> unit
-(** Join the worker domains of the [jobs > 1] pool (no-op otherwise)
-    and close the offline provenance log's file handles.  OCaml caps
-    live domains, so call this when discarding a runtime in a
-    long-lived process (the bench harness and tests do). *)
+(** Join the worker domains of the pool, if any ([jobs > 1] or
+    [shards > 1]), and close the offline provenance log's file
+    handles.  OCaml caps live domains, so call this when discarding a
+    runtime in a long-lived process (the bench harness and tests
+    do). *)
 
 val prov_log : t -> Store.Prov_log.t option
 (** The persisted offline provenance log, when the run was configured

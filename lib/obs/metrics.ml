@@ -4,9 +4,11 @@
    Metric handles are cheap mutable cells; the registry maps
    (name, labels) to the handle so independent call sites share one
    series.  [reset] zeroes every series *in place*, so handles cached
-   by instrumented code (e.g. the lazy histograms in Crypto.Rsa) stay
-   attached across runs — `psn run` and the sweep harness reset the
-   default registry between measured phases.
+   by instrumented code stay attached across runs — `psn run` and the
+   sweep harness reset the default registry between measured phases.
+   Such handles (e.g. the histograms in Crypto.Rsa) are created at
+   module initialisation, never lazily: two domains forcing one lazy
+   value at once raise [CamlinternalLazy.Undefined].
 
    Histograms use base-2 log-scale buckets: an observation lands in
    the bucket whose upper bound is the next power of two (via

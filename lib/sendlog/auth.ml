@@ -37,10 +37,10 @@ let mode_to_string = function
    runs the provenance-shipping configuration for exactly this
    reason). *)
 let c_cache_hits =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits")
+  Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits"
 
 let c_cache_misses =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses")
+  Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses"
 
 let sign_cache_max = 8192 (* per-principal bound; reset on overflow *)
 
@@ -66,10 +66,10 @@ let rsa_sign_cached_slice ~(fastpath : bool) (sender : Principal.t)
     Mutex.unlock sign_cache_mu;
     match cached with
     | Some s ->
-      Obs.Metrics.inc (Lazy.force c_cache_hits);
+      Obs.Metrics.inc c_cache_hits;
       s
     | None ->
-      Obs.Metrics.inc (Lazy.force c_cache_misses);
+      Obs.Metrics.inc c_cache_misses;
       let s = Crypto.Rsa.sign_digest ~fastpath sender.keypair.private_ digest in
       Mutex.lock sign_cache_mu;
       if Hashtbl.length sender.sig_cache >= sign_cache_max then
@@ -146,46 +146,6 @@ let verify_slice ?(fastpath = true) (mode : mode) (directory : Principal.directo
 let verify ?fastpath (mode : mode) (directory : Principal.directory)
     (auth : Net.Wire.auth) (bytes : string) : verdict =
   verify_slice ?fastpath mode directory auth (Net.Arena.of_string bytes)
-
-(* --- batched verification --------------------------------------------- *)
-
-(* Receiver-side batch verification (the paper's cost center: SeNDLog
-   pays one verify per shipped tuple).  A batch is the frontier's
-   (auth, signed-bytes slice) pairs; the kernel below checks them
-   sequentially and is what the runtime fans across the domain pool in
-   asynchronous slabs, so batch k's crypto overlaps batch k-1's
-   fixpoint instead of serializing in the receive path. *)
-
-let c_verify_batches =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches")
-
-let c_verify_batch_size =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batch_size")
-
-let verify_batch ?(fastpath = true) (mode : mode) (directory : Principal.directory)
-    (items : (Net.Wire.auth * Net.Arena.slice) array) : verdict array =
-  if Array.length items > 0 then begin
-    Obs.Metrics.inc (Lazy.force c_verify_batches);
-    Obs.Metrics.inc ~by:(Array.length items) (Lazy.force c_verify_batch_size)
-  end;
-  Array.map (fun (auth, bytes) -> verify_slice ~fastpath mode directory auth bytes) items
-
-(* Fan a batch across the pool in [chunk]-sized slabs, one async task
-   each; item [j]'s verdict is slot [j mod chunk] of future
-   [j / chunk].  Callers await lazily — a future not yet started when
-   its verdict is demanded is stolen and run inline, so the fallback
-   degenerates to exactly the scalar path. *)
-let verify_batch_fanout ?(fastpath = true) ?(chunk = 16) (pool : Par.Pool.t)
-    (mode : mode) (directory : Principal.directory)
-    (items : (Net.Wire.auth * Net.Arena.slice) array) :
-    verdict array Par.Pool.future array =
-  if chunk < 1 then invalid_arg "Auth.verify_batch_fanout: chunk must be >= 1";
-  let n = Array.length items in
-  let nslabs = (n + chunk - 1) / chunk in
-  Array.init nslabs (fun i ->
-      let lo = i * chunk in
-      let slab = Array.sub items lo (min chunk (n - lo)) in
-      Par.Pool.async pool (fun () -> verify_batch ~fastpath mode directory slab))
 
 (* Sign an individual provenance node (authenticated provenance,
    Section 4.3: "individual nodes in the provenance tree need to have

@@ -168,31 +168,42 @@ let test_forged_messages_dropped () =
   let st = Core.Runtime.stats t in
   Alcotest.(check bool) "failures recorded" true (st.verification_failures > 0)
 
-let test_forged_messages_dropped_batched () =
-  (* the same adversary under the pipelined batch verifier (jobs > 1):
-     signatures are checked asynchronously in slabs, but per-message
-     accept/forge accounting must be preserved — every forged message
-     is still dropped and counted at its own accept point *)
-  Obs.Metrics.reset Obs.Metrics.default;
-  let topo = Net.Topology.line ~n:3 () in
+let test_forged_messages_dropped_every_engine () =
+  (* the same adversary on every engine: the sequential loop, the
+     one-shard window drain (jobs=4) and the sharded window drain with
+     the rogue alone on its shard.  The drains verify inside coalesced
+     per-node work groups, but per-message accept/forge accounting
+     must be preserved: every forged message is still dropped and
+     counted at its own accept point *)
+  let line = Net.Topology.line ~n:3 () in
+  let as_of = Hashtbl.create 3 in
+  List.iteri (fun i addr -> Hashtbl.replace as_of addr (i mod 2)) line.nodes;
+  let topo = Net.Topology.validated ~nodes:line.nodes ~links:line.links ~as_of in
   let directory =
     Sendlog.Principal.directory_for (Crypto.Rng.create ~seed:31) ~rsa_bits topo.nodes
   in
-  let cfg = Core.Config.with_jobs { Core.Config.sendlog with rsa_bits } 4 in
-  let t =
-    Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:32) ~cfg ~topo
-      ~program:(Ndlog.Programs.best_path ()) ()
-  in
-  let rogue = Sendlog.Principal.create (Crypto.Rng.create ~seed:33) ~name:"n1" ~rsa_bits () in
-  Core.Runtime.replace_principal t ~at:"n1" rogue;
-  run_links t;
-  Alcotest.(check bool) "forged messages dropped" true (Core.Runtime.dropped_forged t > 0);
-  let st = Core.Runtime.stats t in
-  Alcotest.(check bool) "failures recorded" true (st.verification_failures > 0);
-  (* the run really went through the batched pipeline *)
-  Alcotest.(check bool) "slabs were used" true
-    (Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches") > 0);
-  Core.Runtime.shutdown t
+  let base = { Core.Config.sendlog with rsa_bits } in
+  List.iter
+    (fun (label, cfg, shards) ->
+      let t =
+        Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:32) ~cfg ~topo
+          ~program:(Ndlog.Programs.best_path ()) ()
+      in
+      let rogue =
+        Sendlog.Principal.create (Crypto.Rng.create ~seed:33) ~name:"n1" ~rsa_bits ()
+      in
+      Core.Runtime.replace_principal t ~at:"n1" rogue;
+      run_links t;
+      Alcotest.(check int) (label ^ ": shard count") shards (Core.Runtime.shard_count t);
+      Alcotest.(check bool) (label ^ ": forged messages dropped") true
+        (Core.Runtime.dropped_forged t > 0);
+      let st = Core.Runtime.stats t in
+      Alcotest.(check int) (label ^ ": one failure recorded per drop")
+        (Core.Runtime.dropped_forged t) st.verification_failures;
+      Core.Runtime.shutdown t)
+    [ ("jobs=1", base, 1);
+      ("jobs=4", Core.Config.with_jobs base 4, 1);
+      ("shards=2", Core.Config.with_shards base 2, 2) ]
 
 (* --- provenance taxonomy ------------------------------------------------------ *)
 
@@ -919,8 +930,8 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "says-program variant" `Quick test_sendlog_program_variant;
     Alcotest.test_case "three configs agree" `Quick test_three_configs_agree;
     Alcotest.test_case "forged messages dropped" `Quick test_forged_messages_dropped;
-    Alcotest.test_case "forged messages dropped (batched verify)" `Quick
-      test_forged_messages_dropped_batched;
+    Alcotest.test_case "forged messages dropped: all engines" `Quick
+      test_forged_messages_dropped_every_engine;
     Alcotest.test_case "paper example provenance" `Quick test_paper_example_provenance;
     Alcotest.test_case "traceback = local provenance" `Quick test_traceback_matches_local_provenance;
     Alcotest.test_case "distributed mode: pointers only" `Quick test_distributed_mode_stores_pointers_only;

@@ -44,62 +44,6 @@ let test_pool_invalid () =
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Par.Pool.create ~jobs:0))
 
-(* --- futures (async/await) -------------------------------------------- *)
-
-let test_future_worker_execution () =
-  let pool = Par.Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let futures = Array.init 64 (fun i -> Par.Pool.async pool (fun () -> i * i)) in
-      let got = Array.map Par.Pool.await futures in
-      Alcotest.(check bool) "all resolved in submission slots" true
-        (got = Array.init 64 (fun i -> i * i)))
-
-let test_future_steal_on_idle_pool () =
-  (* jobs = 1 spawns no workers: the task stays pending until await
-     steals it and runs it inline, so await never blocks *)
-  let pool = Par.Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let ran_on = ref None in
-      let fut =
-        Par.Pool.async pool (fun () ->
-            ran_on := Some (Domain.self ());
-            41 + 1)
-      in
-      Alcotest.(check int) "stolen and run inline" 42 (Par.Pool.await fut);
-      Alcotest.(check bool) "ran on the awaiting domain" true
-        (!ran_on = Some (Domain.self ())))
-
-let test_future_exception_reraised () =
-  let pool = Par.Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let fut = Par.Pool.async pool (fun () -> failwith "future boom") in
-      Alcotest.check_raises "task exception re-raised at await"
-        (Failure "future boom") (fun () -> ignore (Par.Pool.await fut));
-      (* re-awaiting yields the same outcome, not a re-run *)
-      Alcotest.check_raises "second await re-raises too" (Failure "future boom")
-        (fun () -> ignore (Par.Pool.await fut)))
-
-let test_future_await_idempotent () =
-  let pool = Par.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let runs = Atomic.make 0 in
-      let fut =
-        Par.Pool.async pool (fun () ->
-            Atomic.incr runs;
-            "once")
-      in
-      Alcotest.(check string) "first await" "once" (Par.Pool.await fut);
-      Alcotest.(check string) "second await" "once" (Par.Pool.await fut);
-      Alcotest.(check int) "task ran exactly once" 1 (Atomic.get runs))
-
 (* --- hash-consing laws ------------------------------------------------ *)
 
 let sample_values =
@@ -281,10 +225,6 @@ let suite : unit Alcotest.test_case list =
   [ Alcotest.test_case "pool map order + chunking" `Quick test_pool_map;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool rejects jobs < 1" `Quick test_pool_invalid;
-    Alcotest.test_case "futures: worker execution" `Quick test_future_worker_execution;
-    Alcotest.test_case "futures: steal on idle pool" `Quick test_future_steal_on_idle_pool;
-    Alcotest.test_case "futures: exception re-raised" `Quick test_future_exception_reraised;
-    Alcotest.test_case "futures: await idempotent" `Quick test_future_await_idempotent;
     Alcotest.test_case "value interning laws" `Quick test_value_interning_laws;
     Alcotest.test_case "tuple interning laws" `Quick test_tuple_interning_laws;
     Alcotest.test_case "seq = par: ndlog seeds" `Quick test_seq_par_ndlog;

@@ -204,115 +204,6 @@ let test_sign_cache_alive_without_provenance () =
   Alcotest.(check bool) "re-derivation hits the sign cache" true (hits_after > 0);
   Alcotest.(check int) "nothing forged" 0 st.Net.Stats.dropped_forged
 
-(* --- batched verification --------------------------------------------- *)
-
-let verdict_str = function
-  | Sendlog.Auth.Verified p -> "verified:" ^ p
-  | Sendlog.Auth.Unsigned -> "unsigned"
-  | Sendlog.Auth.Forged why -> "forged:" ^ why
-
-let signed_item ?(fastpath = true) sender payload =
-  let slice = Net.Arena.of_string payload in
-  (Sendlog.Auth.make_auth_slice ~fastpath Sendlog.Auth.Auth_rsa sender slice, slice)
-
-let test_verify_batch_size_one () =
-  Obs.Metrics.reset Obs.Metrics.default;
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a"; "b" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let verdicts =
-    Sendlog.Auth.verify_batch Sendlog.Auth.Auth_rsa d [| signed_item sender "m0" |]
-  in
-  Alcotest.(check (list string)) "single verdict" [ "verified:a" ]
-    (Array.to_list (Array.map verdict_str verdicts));
-  Alcotest.(check int) "one batch counted" 1 (cache_counter "crypto.verify_batches");
-  Alcotest.(check int) "one item counted" 1 (cache_counter "crypto.verify_batch_size")
-
-let test_verify_batch_empty_uncounted () =
-  Obs.Metrics.reset Obs.Metrics.default;
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  Alcotest.(check int) "no verdicts" 0
-    (Array.length (Sendlog.Auth.verify_batch Sendlog.Auth.Auth_rsa d [||]));
-  Alcotest.(check int) "no batch counted" 0 (cache_counter "crypto.verify_batches");
-  Alcotest.(check int) "no items counted" 0 (cache_counter "crypto.verify_batch_size")
-
-let test_verify_batch_pinpoints_forgery () =
-  (* a forged message in the middle of a batch: only its slot comes
-     back Forged, the neighbours still verify *)
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a"; "b" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let forged =
-    (* a's genuine signature shipped with different bytes *)
-    let auth, _ = signed_item sender "m1" in
-    (auth, Net.Arena.of_string "m1-tampered")
-  in
-  let verdicts =
-    Sendlog.Auth.verify_batch Sendlog.Auth.Auth_rsa d
-      [| signed_item sender "m0"; forged; signed_item sender "m2" |]
-  in
-  Alcotest.(check (list string)) "middle slot pinpointed"
-    [ "verified:a"; "forged:bad signature from a"; "verified:a" ]
-    (Array.to_list (Array.map verdict_str verdicts))
-
-let test_verify_batch_unknown_principal () =
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a"; "b" ] in
-  let stranger =
-    Sendlog.Principal.create (Crypto.Rng.create ~seed:77) ~name:"mallory" ~rsa_bits:384 ()
-  in
-  let verdicts =
-    Sendlog.Auth.verify_batch Sendlog.Auth.Auth_rsa d [| signed_item stranger "m0" |]
-  in
-  Alcotest.(check string) "unknown principal named" "forged:unknown principal mallory"
-    (verdict_str verdicts.(0))
-
-let test_verify_batch_without_fastpath () =
-  (* the naive modular-exponentiation path must agree with the
-     fastpath verdict for both honest and tampered items *)
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let tampered =
-    let auth, _ = signed_item ~fastpath:false sender "t" in
-    (auth, Net.Arena.of_string "t'")
-  in
-  let verdicts =
-    Sendlog.Auth.verify_batch ~fastpath:false Sendlog.Auth.Auth_rsa d
-      [| signed_item ~fastpath:false sender "m0"; tampered |]
-  in
-  Alcotest.(check (list string)) "same verdicts without fastpath"
-    [ "verified:a"; "forged:bad signature from a" ]
-    (Array.to_list (Array.map verdict_str verdicts))
-
-let test_verify_batch_fanout_slots () =
-  (* slab layout: item j's verdict is slot [j mod chunk] of future
-     [j / chunk], a forged item keeps its exact position *)
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let items =
-    Array.init 7 (fun j ->
-        if j = 5 then
-          let auth, _ = signed_item sender "payload-5" in
-          (auth, Net.Arena.of_string "payload-5-tampered")
-        else signed_item sender (Printf.sprintf "payload-%d" j))
-  in
-  let pool = Par.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let futures =
-        Sendlog.Auth.verify_batch_fanout ~chunk:3 pool Sendlog.Auth.Auth_rsa d items
-      in
-      Alcotest.(check int) "ceil(7/3) slabs" 3 (Array.length futures);
-      let verdict j = (Par.Pool.await futures.(j / 3)).(j mod 3) in
-      for j = 0 to 6 do
-        let expect =
-          if j = 5 then "forged:bad signature from a" else "verified:a"
-        in
-        Alcotest.(check string) (Printf.sprintf "slot %d" j) expect
-          (verdict_str (verdict j))
-      done;
-      Alcotest.check_raises "chunk < 1 rejected"
-        (Invalid_argument "Auth.verify_batch_fanout: chunk must be >= 1") (fun () ->
-          ignore (Sendlog.Auth.verify_batch_fanout ~chunk:0 pool Sendlog.Auth.Auth_rsa d items)))
-
 (* --- compilation ----------------------------------------------------------- *)
 
 let test_compile_ndlog_localizes () =
@@ -370,17 +261,6 @@ let suite : unit Alcotest.test_case list =
       test_sign_cache_live_path;
     Alcotest.test_case "sign cache alive without provenance" `Quick
       test_sign_cache_alive_without_provenance;
-    Alcotest.test_case "verify batch: size one" `Quick test_verify_batch_size_one;
-    Alcotest.test_case "verify batch: empty uncounted" `Quick
-      test_verify_batch_empty_uncounted;
-    Alcotest.test_case "verify batch: forgery pinpointed" `Quick
-      test_verify_batch_pinpoints_forgery;
-    Alcotest.test_case "verify batch: unknown principal" `Quick
-      test_verify_batch_unknown_principal;
-    Alcotest.test_case "verify batch: fastpath off" `Quick
-      test_verify_batch_without_fastpath;
-    Alcotest.test_case "verify batch: fanout slab slots" `Quick
-      test_verify_batch_fanout_slots;
     Alcotest.test_case "compile localizes NDlog" `Quick test_compile_ndlog_localizes;
     Alcotest.test_case "compile detects SeNDlog" `Quick test_compile_sendlog_detected;
     Alcotest.test_case "compile rejects unsafe" `Quick test_compile_rejects_bad_program;
